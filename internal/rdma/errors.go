@@ -46,6 +46,13 @@ var (
 	// cross an epoch fence, and re-run from the root under the new routing
 	// (core.Recovered treats this error as op-recoverable).
 	ErrGroupMoved = errors.New("rdma: replica group moved (primary failed over)")
+
+	// ErrRemoteAccess reports a verb the target rejected because its remote
+	// address is not a valid one: outside the registered region, misaligned,
+	// or a FREE of a block the server never handed out — the analogue of a
+	// work completion with IBV_WC_REM_ACCESS_ERR. The verb was not executed.
+	// Not transient: the same address fails again.
+	ErrRemoteAccess = errors.New("rdma: remote access error")
 )
 
 // IsTransient reports whether err is a verb failure that a bounded retry

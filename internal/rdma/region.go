@@ -43,6 +43,18 @@ func (r *Region) wordIndex(off uint64) int {
 	return int(w)
 }
 
+// Contains reports whether words words starting at byte offset off form an
+// aligned range inside the region: exactly when Read and Write of that many
+// words (or Load, Store and the atomics, for one word) do not panic.
+// Transports check wire-supplied addresses with it.
+func (r *Region) Contains(off uint64, words int) bool {
+	if off%8 != 0 || words < 0 {
+		return false
+	}
+	w := off / 8
+	return w < uint64(len(r.words)) && uint64(words) <= uint64(len(r.words))-w
+}
+
 // checkRange panics if [off, off+n*8) is not inside the region.
 func (r *Region) checkRange(off uint64, n int) int {
 	w := r.wordIndex(off)

@@ -302,15 +302,29 @@ type endpoint struct {
 	q         rdma.PostQueue
 	unflushed int
 	jobs      []*rpcJob // per posted Call, in posting order; nil = rejected
-	srvReq    []int     // per-server request bytes of the current batch
-	srvResp   []int     // per-server response bytes
-	srvCount  []int     // per-server one-sided verb count
+
+	// Per-server tallies of the current ReadMulti or Poll batch.
+	srvReq   []int // request bytes
+	srvResp  []int // response bytes
+	srvCount []int // one-sided verb count
 }
 
 var _ rdma.Endpoint = (*endpoint)(nil)
 var _ rdma.AsyncEndpoint = (*endpoint)(nil)
 
 func (e *endpoint) NumServers() int { return len(e.f.servers) }
+
+// resetBatch zeroes the per-server batch tallies, allocating them on first
+// use.
+func (e *endpoint) resetBatch() {
+	if e.srvReq == nil {
+		n := len(e.f.servers)
+		e.srvReq, e.srvResp, e.srvCount = make([]int, n), make([]int, n), make([]int, n)
+	}
+	clear(e.srvReq)
+	clear(e.srvResp)
+	clear(e.srvCount)
+}
 
 // isLocal reports whether server is co-located with this client's machine.
 func (e *endpoint) isLocal(server int) bool {
@@ -359,8 +373,8 @@ func (e *endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 	// aggregate inbound payload; each target server NIC serializes its own
 	// share; only one round trip of latency is exposed. Servers are visited
 	// in ID order to keep the simulation deterministic.
-	perServer := make([]int, len(e.f.servers)) // server -> payload bytes
-	perCount := make([]int, len(e.f.servers))
+	e.resetBatch()
+	perServer, perCount := e.srvResp, e.srvCount // server -> payload bytes, READs
 	total := 0
 	for i, p := range ps {
 		if p.IsNull() {
@@ -394,8 +408,7 @@ func (e *endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 			}
 			pending++
 			srv := srv
-			e.f.S.Spawn("batchread", func(q *sim.Proc) {
-				e.f.serverNIC[srv].Use(q, cfg.SmallServerNS+bwNS(perServer[srv], cfg.ServerBW))
+			e.f.serverNIC[srv].Visit(cfg.SmallServerNS+bwNS(perServer[srv], cfg.ServerBW), func() {
 				e.f.BytesIn.Add(srv, int64(verbHeaderBytes*perCount[srv]))
 				e.f.BytesOut.Add(srv, int64(perServer[srv]))
 				pending--
@@ -580,13 +593,7 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 	}
 	e.Flush() // unflushed verbs still ring a (late) doorbell
 	cfg := &e.f.Cfg
-	if e.srvReq == nil {
-		n := len(e.f.servers)
-		e.srvReq, e.srvResp, e.srvCount = make([]int, n), make([]int, n), make([]int, n)
-	}
-	for i := range e.srvReq {
-		e.srvReq[i], e.srvResp[i], e.srvCount[i] = 0, 0, 0
-	}
+	e.resetBatch()
 	var (
 		reqRemote, respRemote int // client-NIC wire bytes, one-sided verbs
 		localNS               int64
@@ -660,8 +667,7 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		remote = true
 		pending++
 		srv := srv
-		e.f.S.Spawn("asyncbatch", func(q *sim.Proc) {
-			e.f.serverNIC[srv].Use(q, cfg.SmallServerNS+bwNS(e.srvReq[srv]+e.srvResp[srv], cfg.ServerBW))
+		e.f.serverNIC[srv].Visit(cfg.SmallServerNS+bwNS(e.srvReq[srv]+e.srvResp[srv], cfg.ServerBW), func() {
 			e.f.BytesIn.Add(srv, int64(e.srvReq[srv]))
 			e.f.BytesOut.Add(srv, int64(e.srvResp[srv]))
 			pending--

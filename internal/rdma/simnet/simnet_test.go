@@ -429,9 +429,9 @@ func TestAsyncDataFidelityAndOrder(t *testing.T) {
 		ptr := rdma.MakePtr(2, 128)
 		dst := make([]uint64, 2)
 		a.PostWrite(ptr, []uint64{7, 8})
-		a.PostCAS(ptr, 7, 70)   // must observe the earlier posted write
-		a.PostFetchAdd(ptr, 5)  // must observe the CAS
-		a.PostRead(ptr, dst)    // must observe both atomics
+		a.PostCAS(ptr, 7, 70)  // must observe the earlier posted write
+		a.PostFetchAdd(ptr, 5) // must observe the CAS
+		a.PostRead(ptr, dst)   // must observe both atomics
 		a.PostCall(1, []byte{9})
 		a.PostRead(rdma.NullPtr, nil)
 		a.Flush()
@@ -515,5 +515,66 @@ func TestServerCoreLoad(t *testing.T) {
 	// has elapsed.
 	if maxU < 0.5 {
 		t.Fatalf("saturated pool never sampled above 0.5 (max %v)", maxU)
+	}
+}
+
+// TestReadAllocs gates the blocking one-sided READ path at 0 allocs/op: the
+// kernel's event queue, station waiter lists and the endpoint allocate
+// nothing per verb.
+func TestReadAllocs(t *testing.T) {
+	s := sim.New()
+	cfg := NewConfig(testTopology())
+	f := New(s, cfg)
+	var latency sim.Time
+	s.Spawn("reader", func(p *sim.Proc) {
+		ep := f.Endpoint(0, p)
+		dst := make([]uint64, 128)
+		for {
+			start := p.Now()
+			if err := ep.Read(rdma.MakePtr(1, 64), dst); err != nil {
+				t.Error(err)
+				return
+			}
+			latency = p.Now() - start
+		}
+	})
+	s.RunUntil(1_000_000) // one uncontended READ takes a fixed latency
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + latency) })
+	s.Shutdown()
+	if allocs != 0 {
+		t.Fatalf("blocking Read: %v allocs/op; want 0", allocs)
+	}
+}
+
+// TestReadMultiReusesBatchTallies checks that back-to-back batches on one
+// endpoint, with a Poll batch in between, time and count bytes exactly as
+// the first batch did.
+func TestReadMultiReusesBatchTallies(t *testing.T) {
+	s := sim.New()
+	f := New(s, NewConfig(testTopology()))
+	var lat []sim.Time
+	var bytesOut []int64
+	s.Spawn("c", func(p *sim.Proc) {
+		ep := f.Endpoint(0, p)
+		ptrs := []rdma.RemotePtr{rdma.MakePtr(0, 64), rdma.MakePtr(3, 1024), rdma.MakePtr(0, 2048)}
+		bufs := [][]uint64{make([]uint64, 128), make([]uint64, 2), make([]uint64, 128)}
+		for i := 0; i < 3; i++ {
+			before := f.BytesOut.Total()
+			start := p.Now()
+			if err := ep.ReadMulti(ptrs, bufs); err != nil {
+				t.Error(err)
+			}
+			lat = append(lat, p.Now()-start)
+			bytesOut = append(bytesOut, f.BytesOut.Total()-before)
+			a := ep.(rdma.AsyncEndpoint)
+			a.PostRead(rdma.MakePtr(2, 64), bufs[0])
+			a.Poll(nil)
+		}
+	})
+	s.Run()
+	for i := 1; i < len(lat); i++ {
+		if lat[i] != lat[0] || bytesOut[i] != bytesOut[0] {
+			t.Fatalf("batch latencies %v, bytes out %v; want every batch equal to the first", lat, bytesOut)
+		}
 	}
 }

@@ -17,10 +17,12 @@ package tcpnet
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 
 	"github.com/namdb/rdmatree/internal/rdma"
@@ -42,6 +44,9 @@ const (
 const (
 	statusOK  = 0
 	statusErr = 1
+	// statusRemoteAccess rejects a verb whose address the region does not
+	// cover (IBV_WC_REM_ACCESS_ERR); clients see rdma.ErrRemoteAccess.
+	statusRemoteAccess = 2
 )
 
 // maxFrame bounds a single frame (16 MiB), protecting the agent from
@@ -147,7 +152,11 @@ func (a *Agent) serveConn(conn net.Conn) {
 		}
 		resp, err := a.handle(frame)
 		if err != nil {
-			resp = append([]byte{statusErr}, []byte(err.Error())...)
+			status := byte(statusErr)
+			if errors.Is(err, rdma.ErrRemoteAccess) {
+				status = statusRemoteAccess
+			}
+			resp = append([]byte{status}, err.Error()...)
 		}
 		if err := writeFrame(w, resp); err != nil {
 			return
@@ -156,6 +165,16 @@ func (a *Agent) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// checkAccess rejects a wire-supplied address the region does not cover, so
+// a malformed frame fails its verb instead of panicking the agent.
+func (a *Agent) checkAccess(verb string, off uint64, words int) error {
+	if !a.srv.Region.Contains(off, words) {
+		return fmt.Errorf("%w: %s of %d words at %#x outside region of %d bytes",
+			rdma.ErrRemoteAccess, verb, words, off, a.srv.Region.Size())
+	}
+	return nil
 }
 
 // handle executes one verb frame and returns the response frame body.
@@ -174,6 +193,9 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		if words < 0 || words*8 > maxFrame {
 			return nil, fmt.Errorf("read too large")
 		}
+		if err := a.checkAccess("read", off, words); err != nil {
+			return nil, err
+		}
 		out := make([]byte, 1+8*words)
 		out[0] = statusOK
 		buf := make([]uint64, words)
@@ -188,6 +210,9 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		}
 		off := order.Uint64(body)
 		words := (len(body) - 8) / 8
+		if err := a.checkAccess("write", off, words); err != nil {
+			return nil, err
+		}
 		buf := make([]uint64, words)
 		for i := range buf {
 			buf[i] = order.Uint64(body[8+8*i:])
@@ -197,6 +222,9 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 	case opCAS:
 		if len(body) != 24 {
 			return nil, fmt.Errorf("bad CAS request")
+		}
+		if err := a.checkAccess("CAS", order.Uint64(body), 1); err != nil {
+			return nil, err
 		}
 		//rdmavet:allow caschecked -- transport relay: the prior value is returned to the remote client, which performs the old-value comparison
 		prior := a.srv.Region.CompareAndSwap(order.Uint64(body), order.Uint64(body[8:]), order.Uint64(body[16:]))
@@ -208,6 +236,9 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		if len(body) != 16 {
 			return nil, fmt.Errorf("bad FAA request")
 		}
+		if err := a.checkAccess("FAA", order.Uint64(body), 1); err != nil {
+			return nil, err
+		}
 		prior := a.srv.Region.FetchAdd(order.Uint64(body), order.Uint64(body[8:]))
 		out := make([]byte, 9)
 		out[0] = statusOK
@@ -217,7 +248,11 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		if len(body) != 4 {
 			return nil, fmt.Errorf("bad alloc request")
 		}
-		off, err := a.srv.Alloc.Alloc(int(order.Uint32(body)))
+		n := int(order.Uint32(body))
+		if n == 0 {
+			return nil, fmt.Errorf("alloc of zero bytes")
+		}
+		off, err := a.srv.Alloc.Alloc(n)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +264,9 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		if len(body) != 12 {
 			return nil, fmt.Errorf("bad free request")
 		}
-		a.srv.Alloc.Free(order.Uint64(body), int(order.Uint32(body[8:])))
+		if err := a.srv.Alloc.TryFree(order.Uint64(body), int(order.Uint32(body[8:]))); err != nil {
+			return nil, fmt.Errorf("%w: %v", rdma.ErrRemoteAccess, err)
+		}
 		return []byte{statusOK}, nil
 	case opCall:
 		if a.handler == nil {
@@ -251,6 +288,11 @@ func (a *Agent) handle(frame []byte) ([]byte, error) {
 		}
 		if total*8 > maxFrame {
 			return nil, fmt.Errorf("readmulti too large")
+		}
+		for i := 0; i < n; i++ {
+			if err := a.checkAccess("read", order.Uint64(body[4+12*i:]), int(order.Uint32(body[4+12*i+8:]))); err != nil {
+				return nil, err
+			}
 		}
 		out := make([]byte, 1, 1+8*total)
 		out[0] = statusOK
@@ -380,9 +422,19 @@ func (e *Endpoint) roundTrip(server int, frame []byte) ([]byte, error) {
 		return nil, e.fail(server, fmt.Errorf("tcpnet: empty response"))
 	}
 	if resp[0] != statusOK {
-		return nil, fmt.Errorf("tcpnet: server %d: %s", server, resp[1:])
+		return nil, verbError(server, resp)
 	}
 	return resp[1:], nil
+}
+
+// verbError converts a non-OK response into the verb's error; the
+// connection stays healthy.
+func verbError(server int, resp []byte) error {
+	if resp[0] == statusRemoteAccess {
+		detail := strings.TrimPrefix(string(resp[1:]), rdma.ErrRemoteAccess.Error()+": ")
+		return fmt.Errorf("tcpnet: server %d: %w: %s", server, rdma.ErrRemoteAccess, detail)
+	}
+	return fmt.Errorf("tcpnet: server %d: %s", server, resp[1:])
 }
 
 // fail tears down the connection so the next verb re-dials.
@@ -765,8 +817,7 @@ func (e *Endpoint) readReply(server int) ([]byte, error) {
 		return nil, e.srvErr[server]
 	}
 	if resp[0] != statusOK {
-		// A verb-level rejection: the connection stays healthy.
-		return nil, fmt.Errorf("tcpnet: server %d: %s", server, resp[1:])
+		return nil, verbError(server, resp)
 	}
 	return resp[1:], nil
 }

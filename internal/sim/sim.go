@@ -6,15 +6,18 @@
 // handlers run as processes, NICs and CPU cores are resources, and virtual
 // time advances only when every runnable process has blocked.
 //
-// Processes are real goroutines, but exactly one process executes at any
-// moment: the scheduler hands control to a process and waits until it parks
-// again (on Sleep, Resource.Acquire, Queue.Get, ...). This gives sequential
-// consistency for all data touched by processes and makes runs fully
-// deterministic: events at equal virtual times fire in FIFO schedule order.
+// Processes are real goroutines, but exactly one goroutine holds control at
+// any moment: the one calling Run/RunUntil, or one process. Control passes
+// by direct handoff: a process that parks (on Sleep, Resource.Acquire,
+// Queue.Get, ...) or exits pops the event queue itself, runs due At
+// callbacks inline, and resumes the next process directly; when the next
+// event is its own wakeup it simply returns. Run/RunUntil regain control
+// only when the queue drains or its head lies past the run's bound. Events fire
+// in (time, schedule order), so all data touched by processes is
+// sequentially consistent and runs are fully deterministic.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -25,6 +28,7 @@ type Time = int64
 // MaxTime is the largest representable virtual time.
 const MaxTime Time = math.MaxInt64
 
+// event resumes proc, or runs fn when proc is nil.
 type event struct {
 	at   Time
 	seq  uint64
@@ -32,23 +36,85 @@ type event struct {
 	fn   func()
 }
 
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap on (at, seq). Every seq is unique, so the
+// pop order is fully determined by the events pushed.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	*h = old[:n-1]
-	return
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// fifo is a FIFO queue that reuses its backing array, so steady-state push
+// and pop allocate nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
 
 type resumeSignal int
@@ -58,8 +124,8 @@ const (
 	resumeStop
 )
 
-// errStopped is panicked inside process goroutines when the simulation shuts
-// down; the process wrapper recovers it and unwinds cleanly.
+// stoppedError is panicked inside process goroutines when the simulation
+// shuts down; the process wrapper recovers it and unwinds cleanly.
 type stoppedError struct{}
 
 func (stoppedError) Error() string { return "sim: simulation stopped" }
@@ -70,8 +136,9 @@ func (stoppedError) Error() string { return "sim: simulation stopped" }
 type Sim struct {
 	now    Time
 	seq    uint64
+	bound  Time // events later than bound stay queued (RunUntil)
 	queue  eventHeap
-	yield  chan struct{} // signalled by a process when it parks or exits
+	yield  chan struct{} // signalled when control returns to Run/RunUntil
 	procs  map[*Proc]struct{}
 	closed bool
 }
@@ -92,11 +159,12 @@ func (s *Sim) schedule(at Time, p *Proc, fn func()) {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.queue, event{at: at, seq: s.seq, proc: p, fn: fn})
+	s.queue.push(event{at: at, seq: s.seq, proc: p, fn: fn})
 }
 
 // At schedules fn to run at virtual time t (or now, if t is in the past).
-// fn runs in scheduler context and must not block.
+// fn runs on whichever goroutine holds control at that instant (the caller
+// of Run/RunUntil or a parking process) and must not block.
 func (s *Sim) At(t Time, fn func()) { s.schedule(t, nil, fn) }
 
 // Proc is the handle a process uses to interact with the simulation. All
@@ -118,16 +186,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name, resume: make(chan resumeSignal)}
 	s.procs[p] = struct{}{}
 	go func() {
-		defer func() {
-			p.done = true
-			delete(s.procs, p)
-			r := recover()
-			if _, ok := r.(stoppedError); ok || r == nil {
-				s.yield <- struct{}{}
-				return
-			}
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-		}()
+		defer p.exit()
 		if sig := <-p.resume; sig == resumeStop {
 			panic(stoppedError{})
 		}
@@ -137,43 +196,51 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// runProc transfers control to p and waits until it parks or exits.
-func (s *Sim) runProc(p *Proc) {
-	p.resume <- resumeRun
-	<-s.yield
+// next pops due events in (at, seq) order, running callbacks inline on the
+// calling goroutine, and returns the next live process to resume. It returns
+// nil when control belongs to Run/RunUntil: the queue is drained, its head
+// lies past the bound, or the simulation is shutting down.
+func (s *Sim) next() *Proc {
+	for !s.closed && len(s.queue) > 0 && s.queue[0].at <= s.bound {
+		ev := s.queue.pop()
+		s.now = ev.at
+		if ev.proc != nil {
+			if !ev.proc.done {
+				return ev.proc
+			}
+		} else if ev.fn != nil {
+			ev.fn()
+		}
+	}
+	return nil
 }
 
-// step executes the earliest pending event. It reports whether an event was
-// executed.
-func (s *Sim) step() bool {
-	if len(s.queue) == 0 {
-		return false
+// handoff passes control to q, or back to Run/RunUntil when q is nil.
+func (s *Sim) handoff(q *Proc) {
+	if q != nil {
+		q.resume <- resumeRun
+	} else {
+		s.yield <- struct{}{}
 	}
-	ev := heap.Pop(&s.queue).(event)
-	s.now = ev.at
-	switch {
-	case ev.proc != nil:
-		if !ev.proc.done {
-			s.runProc(ev.proc)
-		}
-	case ev.fn != nil:
-		ev.fn()
+}
+
+// drive runs events up to bound, resuming processes until one hands control
+// back.
+func (s *Sim) drive(bound Time) {
+	s.bound = bound
+	for p := s.next(); p != nil; p = s.next() {
+		p.resume <- resumeRun
+		<-s.yield
 	}
-	return true
 }
 
 // Run executes events until the event queue is empty.
-func (s *Sim) Run() {
-	for s.step() {
-	}
-}
+func (s *Sim) Run() { s.drive(MaxTime) }
 
 // RunUntil executes events with time <= t. The clock is left at min(t, time
 // of last event executed); if events remain they stay queued.
 func (s *Sim) RunUntil(t Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
-		s.step()
-	}
+	s.drive(t)
 	if s.now < t {
 		s.now = t
 	}
@@ -195,15 +262,34 @@ func (s *Sim) Shutdown() {
 		p.resume <- resumeStop
 		<-s.yield
 	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
 }
 
-// park returns control to the scheduler and blocks until resumed.
+// park gives up control and blocks until resumed. It returns at once when
+// the next due event is the process's own wakeup.
 func (p *Proc) park() {
-	p.s.yield <- struct{}{}
+	q := p.s.next()
+	if q == p {
+		return
+	}
+	p.s.handoff(q)
 	if sig := <-p.resume; sig == resumeStop {
 		panic(stoppedError{})
 	}
+}
+
+// exit ends the process goroutine and passes control on. It is deferred by
+// Spawn, so it recovers the shutdown unwind and re-panics anything else.
+func (p *Proc) exit() {
+	p.done = true
+	delete(p.s.procs, p)
+	if r := recover(); r != nil {
+		if _, ok := r.(stoppedError); !ok {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}
+	p.s.handoff(p.s.next())
 }
 
 // Now returns the current virtual time.
@@ -237,7 +323,7 @@ type Resource struct {
 	s        *Sim
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  fifo[waiter]
 	// busy accumulates unit-nanoseconds of held capacity; lastChange is the
 	// last time inUse changed.
 	busy       Time
@@ -259,21 +345,26 @@ func (r *Resource) account() {
 	r.lastChange = now
 }
 
+// waiter is a blocked acquirer: a parked process, or the grant step of a
+// Visit.
+type waiter struct {
+	proc *Proc
+	fn   func()
+}
+
 // Acquire obtains one unit, blocking in virtual time until available.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.account()
-		r.inUse++
+	if r.TryAcquire() {
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(waiter{proc: p})
 	p.park() // resumed by Release via scheduled wake
 	// Unit was transferred to us by Release; inUse already accounts for it.
 }
 
 // TryAcquire obtains one unit if immediately available.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
 		r.inUse++
 		return true
@@ -286,12 +377,11 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without Acquire")
 	}
-	if len(r.waiters) > 0 {
+	if r.waiters.len() > 0 {
 		// Transfer the unit directly to the oldest waiter; wake it at the
 		// current instant in FIFO order.
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.s.schedule(r.s.now, w, nil)
+		w := r.waiters.pop()
+		r.s.schedule(r.s.now, w.proc, w.fn)
 		return
 	}
 	r.account()
@@ -304,8 +394,8 @@ func (r *Resource) InUse() int { return r.inUse }
 // Capacity returns the resource capacity.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+// QueueLen returns the number of processes and visits waiting to acquire.
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // BusyTime returns the accumulated unit-nanoseconds of held capacity up to
 // the current virtual time.
@@ -331,12 +421,59 @@ func (r *Resource) Use(p *Proc, service Time) {
 	r.Release()
 }
 
+// Visit is the process-free form of Use: it queues a visit of the given
+// service time at the station and calls done when the visit ends. Its
+// arrival, grant and end take exactly the schedule slots that a process
+// spawned now to call Use would take, so the two are interchangeable
+// without changing any timeline. done runs as a scheduler callback and
+// must not block.
+func (r *Resource) Visit(service Time, done func()) {
+	v := &visit{r: r, service: service, done: done}
+	v.step = v.advance
+	r.s.schedule(r.s.now, nil, v.step)
+}
+
+// visit is one Visit in flight; step is its advance method, bound once.
+type visit struct {
+	r       *Resource
+	service Time
+	done    func()
+	step    func()
+	phase   int
+}
+
+const (
+	visitArrive = iota // first step: take a free unit or queue
+	visitGrant         // a Release handed this visit its unit
+	visitEnd           // service time elapsed
+)
+
+// advance runs one scheduled step of a visit, mirroring Use: Acquire, the
+// service Sleep, then Release.
+func (v *visit) advance() {
+	r := v.r
+	switch v.phase {
+	case visitArrive:
+		if !r.TryAcquire() {
+			v.phase = visitGrant
+			r.waiters.push(waiter{fn: v.step})
+			return
+		}
+	case visitEnd:
+		r.Release()
+		v.done()
+		return
+	}
+	v.phase = visitEnd
+	r.s.schedule(r.s.now+max(v.service, 0), nil, v.step)
+}
+
 // Queue is an unbounded FIFO message queue (a simpy-style store). Put never
 // blocks; Get blocks in virtual time until an item is available.
 type Queue struct {
 	s       *Sim
-	items   []any
-	getters []*Proc
+	items   fifo[any]
+	getters fifo[*Proc]
 	// maxLen tracks the high-water mark, for instrumentation.
 	maxLen int
 }
@@ -347,31 +484,25 @@ func NewQueue(s *Sim) *Queue { return &Queue{s: s} }
 // Put appends v and wakes the oldest blocked getter, if any. It may be
 // called from process or scheduler context.
 func (q *Queue) Put(v any) {
-	q.items = append(q.items, v)
-	if len(q.items) > q.maxLen {
-		q.maxLen = len(q.items)
-	}
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		q.s.schedule(q.s.now, g, nil)
+	q.items.push(v)
+	q.maxLen = max(q.maxLen, q.items.len())
+	if q.getters.len() > 0 {
+		q.s.schedule(q.s.now, q.getters.pop(), nil)
 	}
 }
 
 // Get removes and returns the oldest item, blocking in virtual time while
 // the queue is empty.
 func (q *Queue) Get(p *Proc) any {
-	for len(q.items) == 0 {
-		q.getters = append(q.getters, p)
+	for q.items.len() == 0 {
+		q.getters.push(p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // Len returns the current queue length.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // MaxLen returns the high-water mark of the queue length.
 func (q *Queue) MaxLen() int { return q.maxLen }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
+	"reflect"
 	"testing"
 )
 
@@ -402,5 +405,257 @@ func TestResourceBusyTimeAndUtilization(t *testing.T) {
 	s2.Run()
 	if u := r2.Utilization(0, 0); u < 0.49 || u > 0.51 {
 		t.Fatalf("Utilization = %f; want 0.5", u)
+	}
+}
+
+// goldenDigest pins the timeline of goldenScenario. It was computed on the
+// kernel that routed every process switch through the goroutine calling Run
+// (with spawnUse standing in for Visit), so it proves the direct-handoff
+// kernel keeps the exact (at, seq) event order.
+const (
+	goldenDigest  uint64 = 0x772e2a04e501301e
+	goldenRecords        = 304
+)
+
+func TestGoldenTimelineDigest(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		visit func(s *Sim, r *Resource, service Time, done func())
+	}{
+		{"Visit", func(s *Sim, r *Resource, service Time, done func()) { r.Visit(service, done) }},
+		{"spawnUse", spawnUse},
+	} {
+		d, n := goldenScenario(tc.visit)
+		if d != goldenDigest || n != goldenRecords {
+			t.Errorf("%s: digest %#x over %d records; want %#x over %d", tc.name, d, n, goldenDigest, goldenRecords)
+		}
+	}
+}
+
+// goldenScenario runs a mixed workload over every kernel primitive and
+// returns an FNV-64a digest of its (now, who) timeline and the number of
+// records. visit performs a station visit; passing spawnUse or
+// (*Resource).Visit must give the same digest.
+func goldenScenario(visit func(s *Sim, r *Resource, service Time, done func())) (uint64, int) {
+	s := New()
+	h := fnv.New64a()
+	n := 0
+	rec := func(who string, k int) {
+		fmt.Fprintf(h, "%d %s %d\n", s.Now(), who, k)
+		n++
+	}
+	nic := NewResource(s, 1)
+	cores := NewResource(s, 2)
+	q := NewQueue(s)
+	start := NewEvent(s)
+	for i := 0; i < 4; i++ {
+		i := i
+		name := fmt.Sprintf("client%d", i)
+		s.Spawn(name, func(p *Proc) {
+			start.Wait(p)
+			rec(name+"/start", 0)
+			for k := 0; k < 25; k++ {
+				nic.Use(p, Time(3+(i*7+k)%5))
+				rec(name+"/nic", k)
+				cores.Acquire(p)
+				p.Sleep(Time((k * (i + 1)) % 4))
+				cores.Release()
+				rec(name+"/core", k)
+				if k%3 == i%3 {
+					q.Put(i*100 + k)
+				}
+				if k%4 == 0 {
+					kk := k
+					visit(s, nic, Time(2+kk%3), func() { rec(name+"/visit", kk) })
+					visit(s, cores, Time(5), func() { rec(name+"/cvisit", kk) })
+				}
+				if i == 1 && k == 10 {
+					p.Sim().Spawn("child", func(c *Proc) {
+						c.Sleep(7)
+						cores.Use(c, 4)
+						rec("child", k)
+					})
+				}
+				p.Yield()
+			}
+			rec(name+"/exit", 0)
+		})
+	}
+	for g := 0; g < 2; g++ {
+		name := fmt.Sprintf("getter%d", g)
+		s.Spawn(name, func(p *Proc) {
+			for {
+				v := q.Get(p).(int)
+				rec(name, v)
+				nic.Use(p, 1)
+			}
+		})
+	}
+	s.At(5, func() {
+		rec("at", 5)
+		start.Fire()
+	})
+	s.At(40, func() {
+		rec("at", 40)
+		visit(s, nic, 9, func() { rec("at/visit", 40) })
+	})
+	s.At(40, func() { rec("at", 41) })
+	s.Run()
+	rec("end", q.Len())
+	s.Shutdown()
+	return h.Sum64(), n
+}
+
+// spawnUse is the process form of Resource.Visit.
+func spawnUse(s *Sim, r *Resource, service Time, done func()) {
+	s.Spawn("visit", func(p *Proc) {
+		r.Use(p, service)
+		done()
+	})
+}
+
+// visitTimeline runs process clients and fork-join visits against one
+// resource and returns the (now, who) timeline and the resource's busy
+// time.
+func visitTimeline(capacity int, visit func(s *Sim, r *Resource, service Time, done func())) ([]string, Time) {
+	s := New()
+	r := NewResource(s, capacity)
+	var tl []string
+	rec := func(who string) { tl = append(tl, fmt.Sprintf("%d %s", s.Now(), who)) }
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("proc%d", i)
+		s.Spawn(name, func(p *Proc) {
+			for k := 0; k < 6; k++ {
+				p.Sleep(Time(i))
+				r.Use(p, Time(5+i+k%3))
+				rec(name)
+				if k%2 == 0 {
+					pending := 2
+					join := NewEvent(s)
+					for j := 0; j < 2; j++ {
+						who := fmt.Sprintf("%s/fork%d.%d", name, k, j)
+						visit(s, r, Time(3+j), func() {
+							rec(who)
+							if pending--; pending == 0 {
+								join.Fire()
+							}
+						})
+					}
+					join.Wait(p)
+					rec(name + "/join")
+				}
+			}
+		})
+	}
+	s.At(4, func() { visit(s, r, 2, func() { rec("at/visit") }) })
+	s.Run()
+	return tl, r.BusyTime()
+}
+
+func TestVisitMatchesSpawnedUse(t *testing.T) {
+	for _, capacity := range []int{1, 2} {
+		want, wantBusy := visitTimeline(capacity, spawnUse)
+		got, gotBusy := visitTimeline(capacity, func(s *Sim, r *Resource, service Time, done func()) { r.Visit(service, done) })
+		if !reflect.DeepEqual(got, want) || gotBusy != wantBusy {
+			t.Fatalf("capacity %d: Visit timeline (busy %d)\n%v\nwant spawned Use (busy %d)\n%v", capacity, gotBusy, got, wantBusy, want)
+		}
+	}
+}
+
+func TestHandoffStopsAtRunUntilBound(t *testing.T) {
+	run := func(bound Time) (first, all []Time, nowAtBound Time) {
+		s := New()
+		rec := func() { all = append(all, s.Now()) }
+		r := NewResource(s, 1)
+		for i := 0; i < 3; i++ {
+			s.Spawn("p", func(p *Proc) {
+				for k := 0; k < 10; k++ {
+					p.Sleep(Time(7 + i))
+					r.Use(p, 3)
+					rec()
+				}
+			})
+		}
+		s.At(50, rec)
+		s.At(60, rec)
+		s.RunUntil(bound)
+		first = append(first, all...)
+		nowAtBound = s.Now()
+		s.Run()
+		return first, all, nowAtBound
+	}
+	_, want, _ := run(MaxTime)
+	first, all, now := run(55)
+	if now != 55 {
+		t.Fatalf("Now() after RunUntil(55) = %d; want 55", now)
+	}
+	if len(first) == 0 || len(first) == len(want) {
+		t.Fatalf("RunUntil(55) ran %d of %d events; want a strict prefix", len(first), len(want))
+	}
+	for _, at := range first {
+		if at > 55 {
+			t.Fatalf("event at %d ran before the bound was lifted: %v", at, first)
+		}
+	}
+	if !reflect.DeepEqual(all, want) {
+		t.Fatalf("bounded then resumed run\n%v\nwant unbounded run\n%v", all, want)
+	}
+}
+
+func TestShutdownAfterBoundedRunUnwinds(t *testing.T) {
+	s := New()
+	r := NewResource(s, 1)
+	q := NewQueue(s)
+	e := NewEvent(s)
+	unwound, resumedPast := 0, 0
+	spawn := func(block func(p *Proc)) {
+		s.Spawn("p", func(p *Proc) {
+			defer func() { unwound++ }()
+			block(p)
+			resumedPast++
+		})
+	}
+	spawn(func(p *Proc) { r.Use(p, 1000) }) // holds the unit past the bound
+	spawn(func(p *Proc) { r.Use(p, 1) })    // queued behind it
+	spawn(func(p *Proc) { q.Get(p) })       // empty queue
+	spawn(func(p *Proc) { e.Wait(p) })      // never fired
+	spawn(func(p *Proc) { p.Sleep(500) })   // wakeup past the bound
+	s.At(150, func() { t.Error("callback past the bound ran") })
+	s.RunUntil(100)
+	s.Shutdown()
+	if unwound != 5 || resumedPast != 0 {
+		t.Fatalf("unwound %d processes, %d resumed past their block; want 5 and 0", unwound, resumedPast)
+	}
+	s.Shutdown()
+}
+
+func TestSleepWakeupAllocs(t *testing.T) {
+	s := New()
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + 1) })
+	s.Shutdown()
+	if allocs != 0 {
+		t.Fatalf("Sleep wakeup: %v allocs/op; want 0", allocs)
+	}
+}
+
+func TestResourceUseHandoffAllocs(t *testing.T) {
+	s := New()
+	r := NewResource(s, 1)
+	for i := 0; i < 2; i++ {
+		s.Spawn("user", func(p *Proc) {
+			for {
+				r.Use(p, 1)
+			}
+		})
+	}
+	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + 1) })
+	s.Shutdown()
+	if allocs != 0 {
+		t.Fatalf("Resource.Use handoff: %v allocs/op; want 0", allocs)
 	}
 }
