@@ -204,14 +204,8 @@ func (f *Fabric) Start() {
 	}
 }
 
-type rpcJob struct {
-	req  []byte
-	resp []byte
-	done *sim.Event
-}
-
 func (f *Fabric) handlerLoop(p *sim.Proc, srv, machine int) {
-	env := handlerEnv{p: p, factor: f.qpi(srv), spin: f.Cfg.ServerSpinNS}
+	env := &handlerEnv{p: p, factor: f.qpi(srv), spin: f.Cfg.ServerSpinNS}
 	for {
 		job := f.srqs[srv].Get(p).(*rpcJob)
 		f.cores[machine].Acquire(p)
@@ -232,18 +226,18 @@ type handlerEnv struct {
 }
 
 // Charge implements rdma.Env.
-func (e handlerEnv) Charge(ns int64) {
+func (e *handlerEnv) Charge(ns int64) {
 	if ns > 0 {
 		e.p.Sleep(int64(float64(ns) * e.factor))
 	}
 }
 
 // Pause implements rdma.Env.
-func (e handlerEnv) Pause() { e.p.Sleep(e.spin) }
+func (e *handlerEnv) Pause() { e.p.Sleep(e.spin) }
 
 // Now exposes the handler's virtual clock (telemetry.Clock) so server-side
 // spans and latencies are measured in simulated time.
-func (e handlerEnv) Now() int64 { return e.p.Now() }
+func (e *handlerEnv) Now() int64 { return e.p.Now() }
 
 // ClientEnv returns the execution environment for a client process.
 func (f *Fabric) ClientEnv(p *sim.Proc) rdma.Env {
@@ -268,17 +262,6 @@ func (e clientEnv) Pause() { e.p.Sleep(e.spin) }
 // Now exposes the client's virtual clock (telemetry.Clock).
 func (e clientEnv) Now() int64 { return e.p.Now() }
 
-// clientNICUse charges a client-NIC visit: the per-verb processing cost on
-// the pipelined op station and the payload on the bandwidth station.
-func (f *Fabric) clientNICUse(p *sim.Proc, machine int, opNS int64, bytes int) {
-	if opNS > 0 {
-		f.clientOps[machine].Use(p, opNS)
-	}
-	if bytes > 0 {
-		f.clientBW[machine].Use(p, bwNS(bytes, f.Cfg.ClientBW))
-	}
-}
-
 func bwNS(bytes int, bw float64) int64 {
 	if bytes <= 0 {
 		return 0
@@ -289,21 +272,62 @@ func bwNS(bytes int, bw float64) int64 {
 // Endpoint returns the timed endpoint of one client thread; it must only be
 // used from within the given process.
 func (f *Fabric) Endpoint(clientID int, p *sim.Proc) rdma.Endpoint {
-	return &endpoint{f: f, client: clientID, machine: f.Cfg.Topology.MachineOfClient(clientID), p: p}
+	n := len(f.servers)
+	e := &endpoint{
+		f: f, client: clientID, machine: f.Cfg.Topology.MachineOfClient(clientID), p: p,
+		path:     sim.NewPath(f.S),
+		forks:    make([]*sim.Path, n),
+		counted:  make([]func(), n),
+		forkDone: make([]func(), n),
+		srvReq:   make([]int, n),
+		srvResp:  make([]int, n),
+		srvCount: make([]int, n),
+	}
+	e.joinDone = e.path.Done
+	e.readForks = e.forkReadMulti
+	e.pollForks = e.forkPoll
+	for srv := range n {
+		e.forks[srv] = sim.NewPath(f.S)
+		e.counted[srv] = func() {
+			f.BytesIn.Add(srv, int64(e.srvReq[srv]))
+			f.BytesOut.Add(srv, int64(e.srvResp[srv]))
+		}
+		e.forkDone[srv] = func() {
+			e.counted[srv]()
+			e.path.Done()
+		}
+	}
+	e.call = newRPCJob(e)
+	return e
 }
 
+// endpoint runs every verb's client-side station timeline as one sim.Path,
+// so the client process parks once per verb (DESIGN.md §2, kernel note).
 type endpoint struct {
 	f       *Fabric
 	client  int
 	machine int
 	p       *sim.Proc
 
+	path *sim.Path // the running verb's client-side timeline
+	call *rpcJob   // the blocking Call's job, reused
+
+	// Per-server NIC legs of a ReadMulti or Poll batch, each joined by path,
+	// and the hooks that count a verb's or batch's bytes at a server.
+	forks     []*sim.Path
+	counted   []func()
+	forkDone  []func()
+	joinDone  func() // path.Done
+	readForks func() // forkReadMulti
+	pollForks func() // forkPoll
+
 	// Async post/poll state (see Poll).
 	q         rdma.PostQueue
 	unflushed int
-	jobs      []*rpcJob // per posted Call, in posting order; nil = rejected
+	jobs      []*rpcJob // reused; the first calls serve the current Poll batch
+	calls     int       // posted Calls in the current Poll batch
 
-	// Per-server tallies of the current ReadMulti or Poll batch.
+	// Per-server tallies of the current verb, ReadMulti or Poll batch.
 	srvReq   []int // request bytes
 	srvResp  []int // response bytes
 	srvCount []int // one-sided verb count
@@ -314,13 +338,8 @@ var _ rdma.AsyncEndpoint = (*endpoint)(nil)
 
 func (e *endpoint) NumServers() int { return len(e.f.servers) }
 
-// resetBatch zeroes the per-server batch tallies, allocating them on first
-// use.
+// resetBatch zeroes the per-server batch tallies.
 func (e *endpoint) resetBatch() {
-	if e.srvReq == nil {
-		n := len(e.f.servers)
-		e.srvReq, e.srvResp, e.srvCount = make([]int, n), make([]int, n), make([]int, n)
-	}
 	clear(e.srvReq)
 	clear(e.srvResp)
 	clear(e.srvCount)
@@ -330,6 +349,18 @@ func (e *endpoint) resetBatch() {
 func (e *endpoint) isLocal(server int) bool {
 	top := e.f.Cfg.Topology
 	return top.CoLocated && top.MachineOfServer(server) == e.machine
+}
+
+// clientNIC appends a client-NIC visit to pa: the per-verb processing cost
+// on the pipelined op station and the payload on the bandwidth station,
+// each only when nonzero.
+func (e *endpoint) clientNIC(pa *sim.Path, opNS int64, bytes int) {
+	if opNS > 0 {
+		pa.Use(e.f.clientOps[e.machine], opNS)
+	}
+	if bytes > 0 {
+		pa.Use(e.f.clientBW[e.machine], bwNS(bytes, e.f.Cfg.ClientBW))
+	}
 }
 
 // oneSided models the timing of a single one-sided verb carrying reqBytes to
@@ -345,13 +376,27 @@ func (e *endpoint) oneSided(server, reqBytes, respBytes int, small bool) {
 	if small {
 		clientOp, serverOp = cfg.SmallClientNS, cfg.SmallServerNS
 	}
-	e.f.clientNICUse(e.p, e.machine, clientOp, reqBytes)
-	e.p.Sleep(cfg.LinkLatencyNS)
-	e.f.serverNIC[server].Use(e.p, serverOp+bwNS(reqBytes+respBytes, cfg.ServerBW))
-	e.f.BytesIn.Add(server, int64(reqBytes))
-	e.f.BytesOut.Add(server, int64(respBytes))
-	e.p.Sleep(cfg.LinkLatencyNS)
-	e.f.clientNICUse(e.p, e.machine, 0, respBytes)
+	pa := e.path
+	pa.Reset()
+	e.clientNIC(pa, clientOp, reqBytes)
+	pa.Sleep(cfg.LinkLatencyNS)
+	pa.Use(e.f.serverNIC[server], serverOp+bwNS(reqBytes+respBytes, cfg.ServerBW))
+	e.srvReq[server], e.srvResp[server] = reqBytes, respBytes
+	pa.After(e.counted[server])
+	pa.Sleep(cfg.LinkLatencyNS)
+	e.clientNIC(pa, 0, respBytes)
+	pa.Run(e.p)
+}
+
+// forkServer starts server srv's NIC leg of the running batch, taking
+// service time at srv's NIC; the leg counts the batch's bytes at srv and
+// joins e.path when it ends.
+func (e *endpoint) forkServer(srv int, service sim.Time) {
+	e.path.Add(1)
+	fk := e.forks[srv]
+	fk.Reset()
+	fk.Use(e.f.serverNIC[srv], service)
+	fk.Go(e.forkDone[srv])
 }
 
 func (e *endpoint) Read(p rdma.RemotePtr, dst []uint64) error {
@@ -371,62 +416,57 @@ func (e *endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 	// Selectively signalled batch: post all READs at once, wait for the
 	// last completion. The client NIC processes one doorbell plus the
 	// aggregate inbound payload; each target server NIC serializes its own
-	// share; only one round trip of latency is exposed. Servers are visited
-	// in ID order to keep the simulation deterministic.
+	// share; only one round trip of latency is exposed. Reads of a
+	// co-located server cost nothing beyond the batch's round trip unless
+	// every read is local.
 	e.resetBatch()
-	perServer, perCount := e.srvResp, e.srvCount // server -> payload bytes, READs
 	total := 0
+	remote := false
 	for i, p := range ps {
 		if p.IsNull() {
 			return fmt.Errorf("simnet: null pointer in batch")
 		}
 		b := len(dst[i]) * 8
-		perServer[p.Server()] += b + ackBytes
-		perCount[p.Server()]++
 		total += b
-	}
-	allLocal := true
-	for srv, n := range perCount {
-		if n > 0 && !e.isLocal(srv) {
-			allLocal = false
+		if srv := p.Server(); !e.isLocal(srv) {
+			e.srvReq[srv] += verbHeaderBytes
+			e.srvResp[srv] += b + ackBytes
+			e.srvCount[srv]++
+			remote = true
 		}
 	}
-	if allLocal {
+	if !remote {
 		e.p.Sleep(cfg.LocalNS*int64(len(ps)) + bwNS(total, cfg.LocalBW))
 	} else {
-		e.f.clientNICUse(e.p, e.machine, cfg.OneSidedClientNS, verbHeaderBytes*len(ps))
-		e.p.Sleep(cfg.LinkLatencyNS)
-		// The posted READs hit all target servers in parallel; the client
-		// observes the slowest one (fork-join). Doorbell batching: each
-		// server NIC charges one amortized (small) op for the whole batch
-		// plus its payload stream.
-		pending := 0
-		join := sim.NewEvent(e.f.S)
-		for srv := range perServer {
-			if perCount[srv] == 0 || e.isLocal(srv) {
-				continue
-			}
-			pending++
-			srv := srv
-			e.f.serverNIC[srv].Visit(cfg.SmallServerNS+bwNS(perServer[srv], cfg.ServerBW), func() {
-				e.f.BytesIn.Add(srv, int64(verbHeaderBytes*perCount[srv]))
-				e.f.BytesOut.Add(srv, int64(perServer[srv]))
-				pending--
-				if pending == 0 {
-					join.Fire()
-				}
-			})
-		}
-		if pending > 0 {
-			join.Wait(e.p)
-		}
-		e.p.Sleep(cfg.LinkLatencyNS)
-		e.f.clientNICUse(e.p, e.machine, 0, total)
+		pa := e.path
+		pa.Reset()
+		e.clientNIC(pa, cfg.OneSidedClientNS, verbHeaderBytes*len(ps))
+		pa.Sleep(cfg.LinkLatencyNS)
+		pa.After(e.readForks)
+		pa.Join()
+		pa.Sleep(cfg.LinkLatencyNS)
+		e.clientNIC(pa, 0, total)
+		pa.Run(e.p)
 	}
 	for i, p := range ps {
 		e.f.servers[p.Server()].Region.Read(p.Offset(), dst[i])
 	}
 	return nil
+}
+
+// forkReadMulti starts the server legs of a ReadMulti batch when its READs
+// reach the servers: they hit all target servers in parallel, and the
+// client observes the slowest one (fork-join). Doorbell batching: each
+// server NIC charges one amortized (small) op for the whole batch plus its
+// payload stream. Servers are visited in ID order to keep the simulation
+// deterministic.
+func (e *endpoint) forkReadMulti() {
+	cfg := &e.f.Cfg
+	for srv, n := range e.srvCount {
+		if n > 0 {
+			e.forkServer(srv, cfg.SmallServerNS+bwNS(e.srvResp[srv], cfg.ServerBW))
+		}
+	}
 }
 
 func (e *endpoint) Write(p rdma.RemotePtr, src []uint64) error {
@@ -477,33 +517,95 @@ func (e *endpoint) Call(server int, req []byte) ([]byte, error) {
 	if !e.f.started {
 		return nil, fmt.Errorf("simnet: Start not called")
 	}
-	cfg := &e.f.Cfg
-	local := e.isLocal(server)
-	reqBytes := len(req) + rpcHeaderBytes
-	if local {
-		e.p.Sleep(cfg.LocalNS)
-	} else {
-		e.f.clientNICUse(e.p, e.machine, cfg.RPCNICNS, reqBytes)
-		e.p.Sleep(cfg.LinkLatencyNS)
-		e.f.serverNIC[server].Use(e.p, cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
-		e.f.BytesIn.Add(server, int64(reqBytes))
-	}
-	job := &rpcJob{req: req, done: sim.NewEvent(e.f.S)}
-	e.f.srqs[server].Put(job)
-	job.done.Wait(e.p)
-	respBytes := len(job.resp) + rpcHeaderBytes
-	machine := cfg.Topology.MachineOfServer(server)
-	if local {
-		e.p.Sleep(cfg.LocalNS + bwNS(respBytes, cfg.LocalBW))
-		return job.resp, nil
-	}
-	// Response path: CPU-mediated egress, server NIC, wire, client NIC.
-	e.f.egress[machine].Use(e.p, bwNS(respBytes, cfg.CPUCopyBW))
-	e.f.serverNIC[server].Use(e.p, cfg.RPCNICNS+bwNS(respBytes, cfg.ServerBW))
-	e.f.BytesOut.Add(server, int64(respBytes))
-	e.p.Sleep(cfg.LinkLatencyNS)
-	e.f.clientNICUse(e.p, e.machine, 0, respBytes)
+	job := e.call
+	job.build(server, req)
+	job.path.Run(e.p)
 	return job.resp, nil
+}
+
+// rpcJob is one RPC in flight: the request an SRQ handler serves, the
+// response it returns, and the client-side path that carries both legs.
+// Jobs are reused, so every hook is bound once, at newRPCJob.
+type rpcJob struct {
+	e      *endpoint
+	server int
+	local  bool
+	req    []byte
+	resp   []byte
+	done   *sim.Event // fired by the handler once resp is set
+	path   *sim.Path
+
+	// Response-leg steps whose service times answered fills in once the
+	// response size is known: the local copy, or the CPU egress, server NIC
+	// and client NIC bandwidth steps.
+	respLocal, respEgress, respNIC, respBW int
+
+	sent, answered, delivered func()
+}
+
+func newRPCJob(e *endpoint) *rpcJob {
+	j := &rpcJob{e: e, done: sim.NewEvent(e.f.S), path: sim.NewPath(e.f.S)}
+	j.sent, j.answered, j.delivered = j.onSent, j.onAnswered, j.onDelivered
+	return j
+}
+
+// build lays out the call's client-side path: the request leg to the
+// server's SRQ, the wait for the handler's reply, then the response leg
+// (CPU-mediated egress, server NIC, wire, client NIC) or, co-located, a
+// local copy.
+func (j *rpcJob) build(server int, req []byte) {
+	e := j.e
+	cfg := &e.f.Cfg
+	j.server, j.local, j.req, j.resp = server, e.isLocal(server), req, nil
+	j.done.Reset()
+	pa := j.path
+	pa.Reset()
+	if j.local {
+		pa.Sleep(cfg.LocalNS)
+	} else {
+		reqBytes := len(req) + rpcHeaderBytes
+		e.clientNIC(pa, cfg.RPCNICNS, reqBytes)
+		pa.Sleep(cfg.LinkLatencyNS)
+		pa.Use(e.f.serverNIC[server], cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
+	}
+	pa.After(j.sent)
+	pa.Wait(j.done)
+	pa.After(j.answered)
+	if j.local {
+		j.respLocal = pa.Sleep(0)
+		return
+	}
+	j.respEgress = pa.Use(e.f.egress[cfg.Topology.MachineOfServer(server)], 0)
+	j.respNIC = pa.Use(e.f.serverNIC[server], 0)
+	pa.After(j.delivered)
+	pa.Sleep(cfg.LinkLatencyNS)
+	j.respBW = pa.Use(e.f.clientBW[e.machine], 0)
+}
+
+// onSent hands the request to the server's SRQ once it has arrived.
+func (j *rpcJob) onSent() {
+	if !j.local {
+		j.e.f.BytesIn.Add(j.server, int64(len(j.req)+rpcHeaderBytes))
+	}
+	j.e.f.srqs[j.server].Put(j)
+}
+
+// onAnswered sizes the response leg from the handler's reply.
+func (j *rpcJob) onAnswered() {
+	cfg := &j.e.f.Cfg
+	respBytes := len(j.resp) + rpcHeaderBytes
+	if j.local {
+		j.path.SetService(j.respLocal, cfg.LocalNS+bwNS(respBytes, cfg.LocalBW))
+		return
+	}
+	j.path.SetService(j.respEgress, bwNS(respBytes, cfg.CPUCopyBW))
+	j.path.SetService(j.respNIC, cfg.RPCNICNS+bwNS(respBytes, cfg.ServerBW))
+	j.path.SetService(j.respBW, bwNS(respBytes, cfg.ClientBW))
+}
+
+// onDelivered counts the response once it has left the server NIC.
+func (j *rpcJob) onDelivered() {
+	j.e.f.BytesOut.Add(j.server, int64(len(j.resp)+rpcHeaderBytes))
 }
 
 // --- non-blocking post/poll surface (rdma.AsyncEndpoint) -----------------
@@ -546,8 +648,15 @@ func (e *endpoint) Flush() {
 	if e.unflushed == 0 {
 		return
 	}
+	e.path.Reset()
+	e.doorbell()
+	e.path.Run(e.p)
+}
+
+// doorbell appends the flush of every unflushed posted verb to e.path.
+func (e *endpoint) doorbell() {
 	e.unflushed = 0
-	e.f.clientOps[e.machine].Use(e.p, e.f.Cfg.OneSidedClientNS)
+	e.path.Use(e.f.clientOps[e.machine], e.f.Cfg.OneSidedClientNS)
 }
 
 // postedBytes returns the request/response wire bytes of a buffered
@@ -591,56 +700,34 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 	if len(vs) == 0 {
 		return out
 	}
-	e.Flush() // unflushed verbs still ring a (late) doorbell
 	cfg := &e.f.Cfg
+	pa := e.path
+	pa.Reset()
+	flushed := e.unflushed > 0
+	if flushed {
+		e.doorbell() // unflushed verbs still ring a (late) doorbell
+	}
 	e.resetBatch()
 	var (
 		reqRemote, respRemote int // client-NIC wire bytes, one-sided verbs
 		localNS               int64
 		localBytes            int
-		pending               int
+		remote                bool
 	)
-	join := sim.NewEvent(e.f.S)
+	e.calls = 0
 	for i := range vs {
 		v := &vs[i]
 		if v.Op == rdma.PostOpCall {
+			if e.calls == len(e.jobs) {
+				e.jobs = append(e.jobs, newRPCJob(e))
+			}
+			job := e.jobs[e.calls]
+			e.calls++
 			if e.f.handler == nil || !e.f.started || v.Server < 0 || v.Server >= len(e.f.servers) {
-				e.jobs = append(e.jobs, nil)
+				job.server = -1 // rejected
 				continue
 			}
-			job := &rpcJob{req: v.Req, done: sim.NewEvent(e.f.S)}
-			e.jobs = append(e.jobs, job)
-			pending++
-			server := v.Server
-			e.f.S.Spawn("asynccall", func(q *sim.Proc) {
-				local := e.isLocal(server)
-				reqBytes := len(job.req) + rpcHeaderBytes
-				if local {
-					q.Sleep(cfg.LocalNS)
-				} else {
-					e.f.clientNICUse(q, e.machine, cfg.RPCNICNS, reqBytes)
-					q.Sleep(cfg.LinkLatencyNS)
-					e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
-					e.f.BytesIn.Add(server, int64(reqBytes))
-				}
-				e.f.srqs[server].Put(job)
-				job.done.Wait(q)
-				respBytes := len(job.resp) + rpcHeaderBytes
-				machine := cfg.Topology.MachineOfServer(server)
-				if local {
-					q.Sleep(cfg.LocalNS + bwNS(respBytes, cfg.LocalBW))
-				} else {
-					e.f.egress[machine].Use(q, bwNS(respBytes, cfg.CPUCopyBW))
-					e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(respBytes, cfg.ServerBW))
-					e.f.BytesOut.Add(server, int64(respBytes))
-					q.Sleep(cfg.LinkLatencyNS)
-					e.f.clientNICUse(q, e.machine, 0, respBytes)
-				}
-				pending--
-				if pending == 0 {
-					join.Fire()
-				}
-			})
+			job.build(v.Server, v.Req)
 			continue
 		}
 		if v.P.IsNull() {
@@ -658,38 +745,27 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		e.srvCount[srv]++
 		reqRemote += req
 		respRemote += resp
-	}
-	remote := false
-	for srv := range e.srvCount {
-		if e.srvCount[srv] == 0 {
-			continue
-		}
 		remote = true
-		pending++
-		srv := srv
-		e.f.serverNIC[srv].Visit(cfg.SmallServerNS+bwNS(e.srvReq[srv]+e.srvResp[srv], cfg.ServerBW), func() {
-			e.f.BytesIn.Add(srv, int64(e.srvReq[srv]))
-			e.f.BytesOut.Add(srv, int64(e.srvResp[srv]))
-			pending--
-			if pending == 0 {
-				join.Fire()
-			}
-		})
+	}
+	// The forks leave once the doorbell has rung.
+	if flushed {
+		pa.After(e.pollForks)
+	} else {
+		e.forkPoll()
 	}
 	if localNS > 0 {
-		e.p.Sleep(localNS + bwNS(localBytes, cfg.LocalBW))
+		pa.Sleep(localNS + bwNS(localBytes, cfg.LocalBW))
 	}
 	if remote {
-		e.f.clientNICUse(e.p, e.machine, 0, reqRemote)
-		e.p.Sleep(cfg.LinkLatencyNS)
+		e.clientNIC(pa, 0, reqRemote)
+		pa.Sleep(cfg.LinkLatencyNS)
 	}
-	if pending > 0 {
-		join.Wait(e.p)
-	}
+	pa.Join()
 	if remote {
-		e.p.Sleep(cfg.LinkLatencyNS)
-		e.f.clientNICUse(e.p, e.machine, 0, respRemote)
+		pa.Sleep(cfg.LinkLatencyNS)
+		e.clientNIC(pa, 0, respRemote)
 	}
+	pa.Run(e.p)
 	// Memory effects and completion assembly, in posting order.
 	callIdx := 0
 	for i := range vs {
@@ -699,7 +775,7 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		case rdma.PostOpCall:
 			job := e.jobs[callIdx]
 			callIdx++
-			if job == nil {
+			if job.server < 0 {
 				c.Err = e.callError(v.Server)
 			} else {
 				c.Resp = job.resp
@@ -725,8 +801,25 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		out = append(out, c)
 	}
 	e.q.Clear()
-	e.jobs = e.jobs[:0]
 	return out
+}
+
+// forkPoll starts the fork legs of a Poll batch: each posted Call's path, in
+// posting order, then each target server's NIC leg of the one-sided verbs,
+// in server order.
+func (e *endpoint) forkPoll() {
+	for _, job := range e.jobs[:e.calls] {
+		if job.server >= 0 {
+			e.path.Add(1)
+			job.path.Go(e.joinDone)
+		}
+	}
+	cfg := &e.f.Cfg
+	for srv, n := range e.srvCount {
+		if n > 0 {
+			e.forkServer(srv, cfg.SmallServerNS+bwNS(e.srvReq[srv]+e.srvResp[srv], cfg.ServerBW))
+		}
+	}
 }
 
 // SetupEndpoint returns an untimed endpoint for bulk loading: operations

@@ -522,28 +522,103 @@ func TestServerCoreLoad(t *testing.T) {
 // kernel's event queue, station waiter lists and the endpoint allocate
 // nothing per verb.
 func TestReadAllocs(t *testing.T) {
+	dst := make([]uint64, 128)
+	allocs := verbAllocs(t, func(ep rdma.Endpoint) error { return ep.Read(rdma.MakePtr(1, 64), dst) })
+	if allocs != 0 {
+		t.Fatalf("blocking Read: %v allocs/op; want 0", allocs)
+	}
+}
+
+// TestVerbAllocs gates the other blocking verbs, and a Poll of posted
+// verbs and Calls, at 0 allocs/op: each runs its client-side path on the
+// endpoint's reused sim.Path, per-server fork paths and RPC jobs.
+func TestVerbAllocs(t *testing.T) {
+	src := make([]uint64, 16)
+	ptrs := []rdma.RemotePtr{rdma.MakePtr(0, 64), rdma.MakePtr(3, 1024), rdma.MakePtr(0, 2048), rdma.MakePtr(2, 64)}
+	bufs := [][]uint64{make([]uint64, 128), make([]uint64, 2), make([]uint64, 128), make([]uint64, 16)}
+	resp := []byte("pong")
+	comps := make([]rdma.Completion, 0, 4)
+	for _, tc := range []struct {
+		name string
+		op   func(ep rdma.Endpoint) error
+	}{
+		{"Write", func(ep rdma.Endpoint) error { return ep.Write(rdma.MakePtr(1, 64), src) }},
+		{"CompareAndSwap", func(ep rdma.Endpoint) error {
+			_, err := ep.CompareAndSwap(rdma.MakePtr(2, 64), 0, 0)
+			return err
+		}},
+		{"FetchAdd", func(ep rdma.Endpoint) error {
+			_, err := ep.FetchAdd(rdma.MakePtr(3, 64), 1)
+			return err
+		}},
+		{"Alloc+Free", func(ep rdma.Endpoint) error {
+			p, err := ep.Alloc(1, 1024)
+			if err != nil {
+				return err
+			}
+			return ep.Free(p, 1024)
+		}},
+		{"ReadMulti", func(ep rdma.Endpoint) error { return ep.ReadMulti(ptrs, bufs) }},
+		{"Call", func(ep rdma.Endpoint) error {
+			_, err := ep.Call(1, resp)
+			return err
+		}},
+		{"Poll", func(ep rdma.Endpoint) error {
+			a := ep.(rdma.AsyncEndpoint)
+			a.PostRead(ptrs[0], bufs[0])
+			a.PostCall(2, resp)
+			a.PostCAS(ptrs[1], 0, 0)
+			a.PostCall(3, resp)
+			a.Flush()
+			for _, c := range a.Poll(comps[:0]) {
+				if c.Err != nil {
+					return c.Err
+				}
+			}
+			return nil
+		}},
+	} {
+		allocs := verbAllocs(t, tc.op, func(f *Fabric) {
+			f.SetHandler(func(env rdma.Env, server int, req []byte) ([]byte, rdma.Work) {
+				env.Charge(1000)
+				return resp, rdma.Work{}
+			})
+			f.Start()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs/op; want 0", tc.name, allocs)
+		}
+	}
+}
+
+// verbAllocs runs op in a loop on one client process of a fresh fabric,
+// after setup, and returns the allocations per op. Uncontended, every op
+// takes the same virtual latency, so each measured run covers one op.
+func verbAllocs(t *testing.T, op func(ep rdma.Endpoint) error, setup ...func(f *Fabric)) float64 {
+	t.Helper()
 	s := sim.New()
 	cfg := NewConfig(testTopology())
+	cfg.RegionBytes = 1 << 20
 	f := New(s, cfg)
+	for _, fn := range setup {
+		fn(f)
+	}
 	var latency sim.Time
-	s.Spawn("reader", func(p *sim.Proc) {
+	s.Spawn("client", func(p *sim.Proc) {
 		ep := f.Endpoint(0, p)
-		dst := make([]uint64, 128)
 		for {
 			start := p.Now()
-			if err := ep.Read(rdma.MakePtr(1, 64), dst); err != nil {
+			if err := op(ep); err != nil {
 				t.Error(err)
 				return
 			}
 			latency = p.Now() - start
 		}
 	})
-	s.RunUntil(1_000_000) // one uncontended READ takes a fixed latency
+	s.RunUntil(1_000_000)
 	allocs := testing.AllocsPerRun(1000, func() { s.RunUntil(s.Now() + latency) })
 	s.Shutdown()
-	if allocs != 0 {
-		t.Fatalf("blocking Read: %v allocs/op; want 0", allocs)
-	}
+	return allocs
 }
 
 // TestReadMultiReusesBatchTallies checks that back-to-back batches on one

@@ -15,6 +15,10 @@
 // only when the queue drains or its head lies past the run's bound. Events fire
 // in (time, schedule order), so all data touched by processes is
 // sequentially consistent and runs are fully deterministic.
+//
+// A Path runs a fixed timeline of station steps as scheduler callbacks, in
+// the slots the equivalent process code would take, so a process parks once
+// per timeline rather than once per step.
 package sim
 
 import (
@@ -141,6 +145,10 @@ type Sim struct {
 	yield  chan struct{} // signalled when control returns to Run/RunUntil
 	procs  map[*Proc]struct{}
 	closed bool
+	// wake is set by a callback that ends a Path run by a process: the
+	// process resumes in that callback's slot, as if the slot were its own
+	// wakeup.
+	wake *Proc
 }
 
 // New returns an empty simulation at virtual time zero.
@@ -210,6 +218,10 @@ func (s *Sim) next() *Proc {
 			}
 		} else if ev.fn != nil {
 			ev.fn()
+			if p := s.wake; p != nil {
+				s.wake = nil
+				return p
+			}
 		}
 	}
 	return nil
@@ -345,8 +357,8 @@ func (r *Resource) account() {
 	r.lastChange = now
 }
 
-// waiter is a blocked acquirer: a parked process, or the grant step of a
-// Visit.
+// waiter is a parked process, or the callback that resumes a Path, waiting
+// for a resource unit or an event.
 type waiter struct {
 	proc *Proc
 	fn   func()
@@ -422,50 +434,14 @@ func (r *Resource) Use(p *Proc, service Time) {
 }
 
 // Visit is the process-free form of Use: it queues a visit of the given
-// service time at the station and calls done when the visit ends. Its
-// arrival, grant and end take exactly the schedule slots that a process
-// spawned now to call Use would take, so the two are interchangeable
-// without changing any timeline. done runs as a scheduler callback and
-// must not block.
+// service time at the station and calls done when the visit ends. It is a
+// one-step Path started with Go, so it takes exactly the schedule slots that
+// a process spawned now to call Use would take. done runs as a scheduler
+// callback and must not block.
 func (r *Resource) Visit(service Time, done func()) {
-	v := &visit{r: r, service: service, done: done}
-	v.step = v.advance
-	r.s.schedule(r.s.now, nil, v.step)
-}
-
-// visit is one Visit in flight; step is its advance method, bound once.
-type visit struct {
-	r       *Resource
-	service Time
-	done    func()
-	step    func()
-	phase   int
-}
-
-const (
-	visitArrive = iota // first step: take a free unit or queue
-	visitGrant         // a Release handed this visit its unit
-	visitEnd           // service time elapsed
-)
-
-// advance runs one scheduled step of a visit, mirroring Use: Acquire, the
-// service Sleep, then Release.
-func (v *visit) advance() {
-	r := v.r
-	switch v.phase {
-	case visitArrive:
-		if !r.TryAcquire() {
-			v.phase = visitGrant
-			r.waiters.push(waiter{fn: v.step})
-			return
-		}
-	case visitEnd:
-		r.Release()
-		v.done()
-		return
-	}
-	v.phase = visitEnd
-	r.s.schedule(r.s.now+max(v.service, 0), nil, v.step)
+	pa := NewPath(r.s)
+	pa.Use(r, service)
+	pa.Go(done)
 }
 
 // Queue is an unbounded FIFO message queue (a simpy-style store). Put never
@@ -507,11 +483,12 @@ func (q *Queue) Len() int { return q.items.len() }
 // MaxLen returns the high-water mark of the queue length.
 func (q *Queue) MaxLen() int { return q.maxLen }
 
-// Event is a one-shot level-triggered signal processes can wait on.
+// Event is a one-shot level-triggered signal processes and Paths can wait
+// on.
 type Event struct {
 	s       *Sim
 	fired   bool
-	waiters []*Proc
+	waiters []waiter
 }
 
 // NewEvent creates an unfired event.
@@ -524,9 +501,19 @@ func (e *Event) Fire() {
 	}
 	e.fired = true
 	for _, w := range e.waiters {
-		e.s.schedule(e.s.now, w, nil)
+		e.s.schedule(e.s.now, w.proc, w.fn)
 	}
-	e.waiters = nil
+	clear(e.waiters)
+	e.waiters = e.waiters[:0]
+}
+
+// Reset returns a fired event to the unfired state, so one Event can signal
+// a sequence of one-shot conditions without allocating.
+func (e *Event) Reset() {
+	if len(e.waiters) > 0 {
+		panic("sim: Reset of an event with waiters")
+	}
+	e.fired = false
 }
 
 // Fired reports whether the event has fired.
@@ -537,6 +524,236 @@ func (e *Event) Wait(p *Proc) {
 	if e.fired {
 		return
 	}
-	e.waiters = append(e.waiters, p)
+	e.waiters = append(e.waiters, waiter{proc: p})
 	p.park()
+}
+
+// Path is a reusable timeline of station steps: resource visits (Use),
+// delays (Sleep), waits on an Event (Wait) and joins of forks (Join). It runs
+// every step as scheduler callbacks, each started and ended in exactly the
+// (at, seq) slot that the same steps written as process code (Resource.Use,
+// Proc.Sleep, Event.Wait) would take for the process's own wakeups; a step
+// that process code would pass without parking, such as a Wait on a fired
+// event, passes without a slot here too. So a process that runs a Path parks
+// once instead of once or twice per step, with an unchanged timeline, and a
+// Path started with Go replaces a spawned process the same way.
+//
+// Steps are appended after Reset and run in order. A step's After hook runs
+// when the step ends (after a Use step has released its unit) and may patch
+// the service time of a later step before that step starts. A Path allocates
+// nothing once its step list has grown to size.
+type Path struct {
+	s       *Sim
+	steps   []pathStep
+	cur     int       // index of the running step
+	phase   pathPhase // what the next slot callback means
+	pending int       // forks the Join step waits for
+	joining bool      // parked at a Join step
+	running bool
+	proc    *Proc  // Run: the process resumed when the path ends
+	done    func() // Go: called when the path ends
+	fire    func() // slot, bound once
+}
+
+type stepKind uint8
+
+const (
+	stepUse stepKind = iota
+	stepSleep
+	stepWait
+	stepJoin
+)
+
+type pathStep struct {
+	kind  stepKind
+	r     *Resource
+	d     Time
+	ev    *Event
+	after func()
+}
+
+type pathPhase uint8
+
+const (
+	pathArrive pathPhase = iota // Go's first slot: start the first step
+	pathGrant                   // a Release handed the Use step its unit
+	pathEnd                     // the running step's time is over
+)
+
+// NewPath returns an empty path on s.
+func NewPath(s *Sim) *Path {
+	pa := &Path{s: s}
+	pa.fire = pa.slot
+	return pa
+}
+
+// Reset empties the step list so the path can be built again. The path must
+// not be running.
+func (pa *Path) Reset() {
+	if pa.running {
+		panic("sim: Reset of a running Path")
+	}
+	pa.steps = pa.steps[:0]
+}
+
+func (pa *Path) add(st pathStep) int {
+	pa.steps = append(pa.steps, st)
+	return len(pa.steps) - 1
+}
+
+// Use appends a visit of the given service time to r, like Resource.Use,
+// and returns the step's index.
+func (pa *Path) Use(r *Resource, service Time) int {
+	return pa.add(pathStep{kind: stepUse, r: r, d: service})
+}
+
+// Sleep appends a delay of d, like Proc.Sleep, and returns the step's index.
+func (pa *Path) Sleep(d Time) int { return pa.add(pathStep{kind: stepSleep, d: d}) }
+
+// Wait appends a wait for e to fire, like Event.Wait.
+func (pa *Path) Wait(e *Event) { pa.add(pathStep{kind: stepWait, ev: e}) }
+
+// Join appends a wait until every fork registered with Add has called Done,
+// like waiting on an Event the last fork fires.
+func (pa *Path) Join() { pa.add(pathStep{kind: stepJoin}) }
+
+// After sets the hook run when the last appended step ends. It runs as part
+// of that step's end slot and must not block.
+func (pa *Path) After(fn func()) { pa.steps[len(pa.steps)-1].after = fn }
+
+// SetService sets the service time of Use or Sleep step i, which must not
+// have started yet.
+func (pa *Path) SetService(i int, d Time) {
+	if pa.running && i < pa.cur {
+		panic("sim: SetService of a started Path step")
+	}
+	pa.steps[i].d = d
+}
+
+// Add registers n forks that the Join step waits for.
+func (pa *Path) Add(n int) { pa.pending += n }
+
+// Done marks one registered fork finished. The last one resumes a path
+// waiting at its Join step in a new slot at the current instant, as
+// Event.Fire resumes a waiter.
+func (pa *Path) Done() {
+	if pa.pending <= 0 {
+		panic("sim: Path.Done without Add")
+	}
+	pa.pending--
+	if pa.pending == 0 && pa.joining {
+		pa.joining = false
+		pa.s.schedule(pa.s.now, nil, pa.fire)
+	}
+}
+
+// Run runs the path on behalf of p, which must be the calling process. Steps
+// start inline, as p's own code would, then p parks until the slot where the
+// last step ends; the last Use step's unit is released and its After hook
+// has run by the time Run returns.
+func (pa *Path) Run(p *Proc) {
+	pa.begin()
+	if pa.start() {
+		pa.running = false
+		return
+	}
+	pa.proc = p
+	p.park()
+}
+
+// Go runs the path without a process, in the slots a process spawned now to
+// run the same steps would take: the first step starts in an arrival slot,
+// and done is called as a scheduler callback in the slot where the last step
+// ends. done must not block.
+func (pa *Path) Go(done func()) {
+	pa.begin()
+	pa.done = done
+	pa.phase = pathArrive
+	pa.s.schedule(pa.s.now, nil, pa.fire)
+}
+
+func (pa *Path) begin() {
+	if pa.running {
+		panic("sim: Path started twice")
+	}
+	pa.running = true
+	pa.cur = 0
+}
+
+// start runs steps from the current one until a step takes a schedule slot,
+// and reports whether the path has ended.
+func (pa *Path) start() bool {
+	for pa.cur < len(pa.steps) {
+		st := &pa.steps[pa.cur]
+		switch st.kind {
+		case stepUse:
+			if !st.r.TryAcquire() {
+				pa.phase = pathGrant
+				st.r.waiters.push(waiter{fn: pa.fire})
+				return false
+			}
+			pa.endIn(st.d)
+			return false
+		case stepSleep:
+			pa.endIn(st.d)
+			return false
+		case stepWait:
+			if !st.ev.fired {
+				pa.phase = pathEnd
+				st.ev.waiters = append(st.ev.waiters, waiter{fn: pa.fire})
+				return false
+			}
+		case stepJoin:
+			if pa.pending > 0 {
+				pa.phase = pathEnd
+				pa.joining = true
+				return false
+			}
+		}
+		pa.finish()
+	}
+	return true
+}
+
+// endIn schedules the end of the running step d from now.
+func (pa *Path) endIn(d Time) {
+	pa.phase = pathEnd
+	pa.s.schedule(pa.s.now+max(d, 0), nil, pa.fire)
+}
+
+// finish ends the current step: a Use step releases its unit, then the
+// step's After hook runs.
+func (pa *Path) finish() {
+	st := &pa.steps[pa.cur]
+	pa.cur++
+	if st.kind == stepUse {
+		st.r.Release()
+	}
+	if st.after != nil {
+		st.after()
+	}
+}
+
+// slot is the path's scheduler callback: every slot the path takes runs it.
+func (pa *Path) slot() {
+	switch pa.phase {
+	case pathGrant:
+		pa.endIn(pa.steps[pa.cur].d)
+		return
+	case pathEnd:
+		pa.finish()
+	}
+	if !pa.start() {
+		return
+	}
+	pa.running = false
+	if p := pa.proc; p != nil {
+		pa.proc = nil
+		pa.s.wake = p
+		return
+	}
+	if done := pa.done; done != nil {
+		pa.done = nil
+		done()
+	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -419,24 +420,30 @@ const (
 
 func TestGoldenTimelineDigest(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		visit func(s *Sim, r *Resource, service Time, done func())
+		name       string
+		visit      func(s *Sim, r *Resource, service Time, done func())
+		clientPath bool
 	}{
-		{"Visit", func(s *Sim, r *Resource, service Time, done func()) { r.Visit(service, done) }},
-		{"spawnUse", spawnUse},
+		{"Visit", visitCallback, false},
+		{"spawnUse", spawnUse, false},
+		{"Path", visitCallback, true},
 	} {
-		d, n := goldenScenario(tc.visit)
+		d, n := goldenScenario(tc.visit, tc.clientPath)
 		if d != goldenDigest || n != goldenRecords {
 			t.Errorf("%s: digest %#x over %d records; want %#x over %d", tc.name, d, n, goldenDigest, goldenRecords)
 		}
 	}
 }
 
+func visitCallback(s *Sim, r *Resource, service Time, done func()) { r.Visit(service, done) }
+
 // goldenScenario runs a mixed workload over every kernel primitive and
 // returns an FNV-64a digest of its (now, who) timeline and the number of
 // records. visit performs a station visit; passing spawnUse or
-// (*Resource).Visit must give the same digest.
-func goldenScenario(visit func(s *Sim, r *Resource, service Time, done func())) (uint64, int) {
+// (*Resource).Visit must give the same digest. With clientPath, each client
+// runs its whole station program as one Path instead of as process code,
+// which must give the same digest too.
+func goldenScenario(visit func(s *Sim, r *Resource, service Time, done func()), clientPath bool) (uint64, int) {
 	s := New()
 	h := fnv.New64a()
 	n := 0
@@ -451,7 +458,41 @@ func goldenScenario(visit func(s *Sim, r *Resource, service Time, done func())) 
 	for i := 0; i < 4; i++ {
 		i := i
 		name := fmt.Sprintf("client%d", i)
+		// afterCore is the client's work between its core visit and its
+		// yield in round k.
+		afterCore := func(k int) {
+			rec(name+"/core", k)
+			if k%3 == i%3 {
+				q.Put(i*100 + k)
+			}
+			if k%4 == 0 {
+				visit(s, nic, Time(2+k%3), func() { rec(name+"/visit", k) })
+				visit(s, cores, Time(5), func() { rec(name+"/cvisit", k) })
+			}
+			if i == 1 && k == 10 {
+				s.Spawn("child", func(c *Proc) {
+					c.Sleep(7)
+					cores.Use(c, 4)
+					rec("child", k)
+				})
+			}
+		}
 		s.Spawn(name, func(p *Proc) {
+			if clientPath {
+				pa := NewPath(s)
+				pa.Wait(start)
+				pa.After(func() { rec(name+"/start", 0) })
+				for k := 0; k < 25; k++ {
+					pa.Use(nic, Time(3+(i*7+k)%5))
+					pa.After(func() { rec(name+"/nic", k) })
+					pa.Use(cores, Time((k*(i+1))%4))
+					pa.After(func() { afterCore(k) })
+					pa.Sleep(0)
+				}
+				pa.Run(p)
+				rec(name+"/exit", 0)
+				return
+			}
 			start.Wait(p)
 			rec(name+"/start", 0)
 			for k := 0; k < 25; k++ {
@@ -460,22 +501,7 @@ func goldenScenario(visit func(s *Sim, r *Resource, service Time, done func())) 
 				cores.Acquire(p)
 				p.Sleep(Time((k * (i + 1)) % 4))
 				cores.Release()
-				rec(name+"/core", k)
-				if k%3 == i%3 {
-					q.Put(i*100 + k)
-				}
-				if k%4 == 0 {
-					kk := k
-					visit(s, nic, Time(2+kk%3), func() { rec(name+"/visit", kk) })
-					visit(s, cores, Time(5), func() { rec(name+"/cvisit", kk) })
-				}
-				if i == 1 && k == 10 {
-					p.Sim().Spawn("child", func(c *Proc) {
-						c.Sleep(7)
-						cores.Use(c, 4)
-						rec("child", k)
-					})
-				}
+				afterCore(k)
 				p.Yield()
 			}
 			rec(name+"/exit", 0)
@@ -555,7 +581,7 @@ func visitTimeline(capacity int, visit func(s *Sim, r *Resource, service Time, d
 func TestVisitMatchesSpawnedUse(t *testing.T) {
 	for _, capacity := range []int{1, 2} {
 		want, wantBusy := visitTimeline(capacity, spawnUse)
-		got, gotBusy := visitTimeline(capacity, func(s *Sim, r *Resource, service Time, done func()) { r.Visit(service, done) })
+		got, gotBusy := visitTimeline(capacity, visitCallback)
 		if !reflect.DeepEqual(got, want) || gotBusy != wantBusy {
 			t.Fatalf("capacity %d: Visit timeline (busy %d)\n%v\nwant spawned Use (busy %d)\n%v", capacity, gotBusy, got, wantBusy, want)
 		}
@@ -657,5 +683,277 @@ func TestResourceUseHandoffAllocs(t *testing.T) {
 	s.Shutdown()
 	if allocs != 0 {
 		t.Fatalf("Resource.Use handoff: %v allocs/op; want 0", allocs)
+	}
+}
+
+// pathOp is one operation of a randomized station program: a Use, a Sleep,
+// a Wait on an event, a fork of station visits, or a join of those forks.
+type pathOp struct {
+	kind  int // opUse, opSleep, opWait, opFork, opJoin
+	r     int // resource index (opUse)
+	d     Time
+	ev    int             // event index (opWait)
+	forks []pathForkVisit // opFork
+}
+
+type pathForkVisit struct {
+	r int
+	d Time
+}
+
+const (
+	opUse = iota
+	opSleep
+	opWait
+	opFork
+	opJoin
+)
+
+// randomProgram returns 2-8 ops. Every fork is joined before the next fork
+// and before the program ends; a detached program does not start with a
+// fork, since a Path started with Go has no step before its first to hang
+// the fork on.
+func randomProgram(rng *rand.Rand, resources, events int, detached bool) []pathOp {
+	var prog []pathOp
+	forked := false
+	n := 2 + rng.Intn(7)
+	dur := func() Time {
+		if rng.Intn(3) == 0 {
+			return 0
+		}
+		return Time(1 + rng.Intn(7))
+	}
+	for len(prog) < n {
+		switch k := rng.Intn(6); {
+		case k == 0 && !forked && !(detached && len(prog) == 0):
+			var fs []pathForkVisit
+			for j := 1 + rng.Intn(3); j > 0; j-- {
+				fs = append(fs, pathForkVisit{r: rng.Intn(resources), d: dur()})
+			}
+			prog = append(prog, pathOp{kind: opFork, forks: fs})
+			forked = true
+		case k == 1 && forked:
+			prog = append(prog, pathOp{kind: opJoin})
+			forked = false
+		case k == 2:
+			prog = append(prog, pathOp{kind: opWait, ev: rng.Intn(events)})
+		case k == 3:
+			prog = append(prog, pathOp{kind: opSleep, d: dur()})
+		default:
+			prog = append(prog, pathOp{kind: opUse, r: rng.Intn(resources), d: dur()})
+		}
+	}
+	if forked {
+		prog = append(prog, pathOp{kind: opJoin})
+	}
+	return prog
+}
+
+// pathWorld is one randomized scenario: stations of capacity 1-3, events
+// fired by callbacks, background processes and visits contending for the
+// stations, and subject programs run either as process code or as Paths.
+type pathWorld struct {
+	caps       []int
+	fireAt     []Time
+	background [][]pathOp // run as process code in both forms
+	visitsAt   []Time     // a callback at each time visits station i%len(caps)
+	subjects   [][][]pathOp
+	detached   [][]pathOp // started from a callback at detachAt
+	detachAt   []Time
+}
+
+func randomPathWorld(seed int64) pathWorld {
+	rng := rand.New(rand.NewSource(seed))
+	var w pathWorld
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		w.caps = append(w.caps, 1+rng.Intn(3))
+	}
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		w.fireAt = append(w.fireAt, Time(rng.Intn(40)))
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		var prog []pathOp
+		for j := 2 + rng.Intn(6); j > 0; j-- {
+			prog = append(prog, pathOp{kind: opUse, r: rng.Intn(len(w.caps)), d: Time(rng.Intn(6))})
+		}
+		w.background = append(w.background, prog)
+	}
+	for i := rng.Intn(5); i > 0; i-- {
+		w.visitsAt = append(w.visitsAt, Time(rng.Intn(30)))
+	}
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		var runs [][]pathOp
+		for j := 1 + rng.Intn(3); j > 0; j-- {
+			runs = append(runs, randomProgram(rng, len(w.caps), len(w.fireAt), false))
+		}
+		w.subjects = append(w.subjects, runs)
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		w.detached = append(w.detached, randomProgram(rng, len(w.caps), len(w.fireAt), true))
+		w.detachAt = append(w.detachAt, Time(rng.Intn(20)))
+	}
+	return w
+}
+
+// run executes the world and returns its (now, who) timeline and the busy
+// time of every station. With asPath, subject and detached programs run as
+// Paths (Run and Go); otherwise as process code with Event-joined forks.
+func (w pathWorld) run(asPath bool) ([]string, []Time) {
+	s := New()
+	var tl []string
+	rec := func(who string) { tl = append(tl, fmt.Sprintf("%d %s", s.Now(), who)) }
+	rs := make([]*Resource, len(w.caps))
+	for i, c := range w.caps {
+		rs[i] = NewResource(s, c)
+	}
+	evs := make([]*Event, len(w.fireAt))
+	for i, at := range w.fireAt {
+		evs[i] = NewEvent(s)
+		s.At(at, evs[i].Fire)
+	}
+	for i, at := range w.visitsAt {
+		who := fmt.Sprintf("bgvisit%d", i)
+		s.At(at, func() { rs[i%len(rs)].Visit(Time(i%4), func() { rec(who) }) })
+	}
+	for b, prog := range w.background {
+		s.Spawn("bg", func(p *Proc) {
+			for k, op := range prog {
+				rs[op.r].Use(p, op.d)
+				rec(fmt.Sprintf("bg%d/%d", b, k))
+			}
+		})
+	}
+	for a, runs := range w.subjects {
+		s.Spawn("subject", func(p *Proc) {
+			pa := NewPath(s)
+			for r, prog := range runs {
+				name := fmt.Sprintf("s%d/%d", a, r)
+				if asPath {
+					pa.Reset()
+					buildPath(s, pa, rs, evs, prog, name, rec)
+					pa.Run(p)
+				} else {
+					runProcess(s, p, rs, evs, prog, name, rec)
+				}
+				rec(name + "/done")
+			}
+		})
+	}
+	for d, prog := range w.detached {
+		name := fmt.Sprintf("d%d", d)
+		done := func() { rec(name + "/done") }
+		s.At(w.detachAt[d], func() {
+			if asPath {
+				pa := NewPath(s)
+				buildPath(s, pa, rs, evs, prog, name, rec)
+				pa.Go(done)
+				return
+			}
+			s.Spawn(name, func(p *Proc) {
+				runProcess(s, p, rs, evs, prog, name, rec)
+				done()
+			})
+		})
+	}
+	s.Run()
+	busy := make([]Time, len(rs))
+	for i, r := range rs {
+		busy[i] = r.BusyTime()
+	}
+	return tl, busy
+}
+
+// runProcess runs prog as process code: the reference form.
+func runProcess(s *Sim, p *Proc, rs []*Resource, evs []*Event, prog []pathOp, name string, rec func(string)) {
+	pending := 0
+	join := NewEvent(s)
+	for k, op := range prog {
+		who := fmt.Sprintf("%s/%d", name, k)
+		switch op.kind {
+		case opUse:
+			rs[op.r].Use(p, op.d)
+		case opSleep:
+			p.Sleep(op.d)
+		case opWait:
+			evs[op.ev].Wait(p)
+		case opFork:
+			for j, f := range op.forks {
+				pending++
+				spawnUse(s, rs[f.r], f.d, func() {
+					rec(fmt.Sprintf("%s/fork%d", who, j))
+					if pending--; pending == 0 {
+						join.Fire()
+					}
+				})
+			}
+		case opJoin:
+			if pending > 0 {
+				join.Wait(p)
+			}
+			join = NewEvent(s)
+		}
+		rec(who)
+	}
+}
+
+// buildPath appends prog's steps to pa. A fork issues its visits in the
+// After hook of the step before it, or at once when it comes first.
+func buildPath(s *Sim, pa *Path, rs []*Resource, evs []*Event, prog []pathOp, name string, rec func(string)) {
+	var hooks []func() // work due when the last appended step ends
+	flush := func() {
+		hs := hooks
+		hooks = nil
+		if len(pa.steps) == 0 {
+			for _, h := range hs {
+				h()
+			}
+			return
+		}
+		pa.After(func() {
+			for _, h := range hs {
+				h()
+			}
+		})
+	}
+	for k, op := range prog {
+		who := fmt.Sprintf("%s/%d", name, k)
+		switch op.kind {
+		case opFork:
+			hooks = append(hooks, func() {
+				for j, f := range op.forks {
+					pa.Add(1)
+					rs[f.r].Visit(f.d, func() {
+						rec(fmt.Sprintf("%s/fork%d", who, j))
+						pa.Done()
+					})
+				}
+			})
+			hooks = append(hooks, func() { rec(who) })
+			continue
+		}
+		flush()
+		switch op.kind {
+		case opUse:
+			pa.Use(rs[op.r], op.d)
+		case opSleep:
+			pa.Sleep(op.d)
+		case opWait:
+			pa.Wait(evs[op.ev])
+		case opJoin:
+			pa.Join()
+		}
+		hooks = append(hooks, func() { rec(who) })
+	}
+	flush()
+}
+
+func TestPathMatchesProcess(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		w := randomPathWorld(seed)
+		want, wantBusy := w.run(false)
+		got, gotBusy := w.run(true)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotBusy, wantBusy) {
+			t.Fatalf("seed %d: Path timeline (busy %v)\n%v\nwant process code (busy %v)\n%v", seed, gotBusy, got, wantBusy, want)
+		}
 	}
 }
